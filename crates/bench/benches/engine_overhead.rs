@@ -1,21 +1,16 @@
 //! Per-event engine overhead and the scoring hot path, isolated:
 //!
-//! * `engine_overhead/predictor/{noop,nurd_flat,nurd_pointer}` — the
-//!   same staggered fleet served end to end by (a) a no-op predictor
-//!   (pure event application + pooled barrier assembly, the engine's
-//!   floor), (b) full NURD on the flattened structure-of-arrays path
-//!   (`flat_scoring = true`, the default), and (c) full NURD walking the
-//!   pointer trees (`flat_scoring = false`). The noop/nurd gap is the
-//!   model cost; the flat/pointer gap is what the SoA layout buys on the
-//!   full serving stack (refits included, so it is diluted — see the
-//!   kernel group for the undiluted ratio).
+//! * `engine_overhead/predictor/{noop,nurd_flat}` — the same staggered
+//!   fleet served end to end by (a) a no-op predictor (pure event
+//!   application + pooled barrier assembly, the engine's floor) and (b)
+//!   full NURD, scoring on the flattened structure-of-arrays path. The
+//!   gap is the model cost.
 //! * `engine_overhead/scoring/{flat,pointer}` — the batch-prediction
 //!   kernel alone: one fitted latency head scoring the same feature
 //!   batch through [`nurd_ml::FlatForest::predict_view_into`] (branchless
 //!   SoA walk into reused scratch) vs the pointer-tree
 //!   [`nurd_ml::GradientBoosting::predict_view`]. Bit-identical outputs
-//!   are asserted before timing, and the measured speedup is printed;
-//!   the tentpole target is ≥ 1.5× here.
+//!   are asserted before timing; the target is ≥ 1.5× here.
 //! * `engine_overhead/scoring/flat_l{1,4,8}` — the same kernel at pinned
 //!   lane widths ([`nurd_ml::FlatForest::set_lanes`]): `flat_l1` is the
 //!   scalar one-row-per-step walk (the pre-lane kernel), `flat_l4` /
@@ -28,9 +23,9 @@
 //!   the same cycle with persistent stealer threads racing the owner for
 //!   every item (the Chase–Lev CAS path).
 //!
-//! Determinism cover: `tests/hot_path_equivalence.rs` proves all three
-//! predictor variants produce bit-identical flags/reports, so every
-//! ratio below is free of accuracy caveats.
+//! Determinism cover: `tests/hot_path_equivalence.rs` proves the flat
+//! kernels bit-identical to the pointer walk and engine reports equal to
+//! sequential replay, so every ratio below is free of accuracy caveats.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -40,11 +35,14 @@ use nurd_linalg::MatrixView;
 use nurd_ml::{FlatForest, GbtConfig, GradientBoosting, SquaredLoss, TreeConfig};
 use nurd_runtime::{Deque, ThreadPool};
 use nurd_serve::{Engine, EngineConfig, EngineReport, PredictorFactory};
+use nurd_sim::{replay_job, ReplayConfig};
 use nurd_trace::{SuiteConfig, TraceStyle};
 
 const JOBS: usize = 6;
 const SHARDS: usize = 2;
 const ARRIVAL_SPREAD: f64 = 400.0;
+const QUANTILE: f64 = 0.9;
+const WARMUP: f64 = 0.04;
 
 fn fleet_jobs() -> Vec<nurd_data::JobTrace> {
     let cfg = SuiteConfig::new(TraceStyle::Google)
@@ -53,10 +51,6 @@ fn fleet_jobs() -> Vec<nurd_data::JobTrace> {
         .with_checkpoints(10)
         .with_seed(0x0E4D);
     nurd_trace::generate_suite(&cfg)
-}
-
-fn fleet() -> Vec<TaskEvent> {
-    nurd_trace::staggered_fleet_events(&fleet_jobs(), 0.9, ARRIVAL_SPREAD, 0x0E4D)
 }
 
 /// Scores nothing: every barrier still assembles its checkpoint views
@@ -72,21 +66,19 @@ impl OnlinePredictor for Noop {
     }
 }
 
-fn nurd_factory(flat: bool) -> PredictorFactory {
-    Box::new(move |_spec| {
-        Box::new(NurdPredictor::new(
-            NurdConfig::default()
-                .with_refit_policy(RefitPolicy::Warm(WarmRefitConfig::default()))
-                .with_flat_scoring(flat),
-        ))
-    })
+fn nurd_config() -> NurdConfig {
+    NurdConfig::default().with_refit_policy(RefitPolicy::Warm(WarmRefitConfig::default()))
+}
+
+fn nurd_factory() -> PredictorFactory {
+    Box::new(|_spec| Box::new(NurdPredictor::new(nurd_config())))
 }
 
 fn run_fleet(events: &[TaskEvent], factory: PredictorFactory, pool: &ThreadPool) -> EngineReport {
     let engine = Engine::new(
         EngineConfig {
             shards: SHARDS,
-            warmup_fraction: 0.04,
+            warmup_fraction: WARMUP,
             ..EngineConfig::default()
         },
         factory,
@@ -114,18 +106,26 @@ fn synthetic_rows(n: usize, d: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
 }
 
 fn bench_engine_overhead(c: &mut Criterion) {
-    let events = fleet();
+    let jobs = fleet_jobs();
+    let events = nurd_trace::staggered_fleet_events(&jobs, QUANTILE, ARRIVAL_SPREAD, 0x0E4D);
     let pool = ThreadPool::new(SHARDS);
 
-    // Correctness guardrail: the NURD variants must actually score and
-    // flag (a silently dead predictor would make the overhead gap
-    // meaningless), and flat must equal pointer report-for-report.
-    let flat_report = run_fleet(&events, nurd_factory(true), &pool);
-    let pointer_report = run_fleet(&events, nurd_factory(false), &pool);
-    assert_eq!(
-        flat_report, pointer_report,
-        "flat and pointer engine reports diverged — see tests/hot_path_equivalence.rs"
-    );
+    // Correctness guardrail: NURD must actually score and flag (a
+    // silently dead predictor would make the overhead gap meaningless),
+    // and every job's engine outcome must equal sequential replay.
+    let flat_report = run_fleet(&events, nurd_factory(), &pool);
+    let replay_cfg = ReplayConfig {
+        quantile: QUANTILE,
+        warmup_fraction: WARMUP,
+    };
+    for job in &jobs {
+        let expected = replay_job(job, &mut NurdPredictor::new(nurd_config()), &replay_cfg);
+        let got = flat_report.job(job.job_id()).expect("job reported");
+        assert_eq!(
+            got.outcome, expected,
+            "engine diverged from replay — see tests/hot_path_equivalence.rs"
+        );
+    }
     let flagged: usize = flat_report
         .jobs
         .iter()
@@ -147,10 +147,7 @@ fn bench_engine_overhead(c: &mut Criterion) {
         b.iter(|| run_fleet(&events, Box::new(|_spec| Box::new(Noop)), &pool));
     });
     group.bench_function(BenchmarkId::new("predictor", "nurd_flat"), |b| {
-        b.iter(|| run_fleet(&events, nurd_factory(true), &pool));
-    });
-    group.bench_function(BenchmarkId::new("predictor", "nurd_pointer"), |b| {
-        b.iter(|| run_fleet(&events, nurd_factory(false), &pool));
+        b.iter(|| run_fleet(&events, nurd_factory(), &pool));
     });
 
     // The scoring kernel alone: one fitted head, one resident batch,
@@ -181,33 +178,6 @@ fn bench_engine_overhead(c: &mut Criterion) {
         "flat kernel is not bit-identical to the pointer walk"
     );
 
-    // Unmeasured speedup probe printed next to the criterion estimates,
-    // so the ≥1.5× tentpole target is visible in the bench log itself.
-    fn time(mut f: impl FnMut()) -> f64 {
-        let iters = 2000;
-        for _ in 0..200 {
-            f(); // warm caches and clocks before timing
-        }
-        let start = std::time::Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        start.elapsed().as_secs_f64() / f64::from(iters)
-    }
-    let t_flat = time(|| {
-        flat.predict_view_into(MatrixView::RowSlices(&batch), &mut scratch);
-        std::hint::black_box(&mut scratch);
-    });
-    let t_pointer = time(|| {
-        std::hint::black_box(model.predict_view(MatrixView::RowSlices(&batch)));
-    });
-    eprintln!(
-        "scoring kernel (50 trees × depth 3 × 256 rows): flat {:.1}µs, pointer {:.1}µs, speedup {:.2}x",
-        t_flat * 1e6,
-        t_pointer * 1e6,
-        t_pointer / t_flat,
-    );
-
     // Lane-width sweep over the same model/batch, each width guarded by
     // a bit-identity assertion against the pointer walk before timing.
     let lane_forests: Vec<(usize, FlatForest)> = [1usize, 4, 8]
@@ -222,32 +192,6 @@ fn bench_engine_overhead(c: &mut Criterion) {
             "lane width {lanes} is not bit-identical to the pointer walk"
         );
     }
-    let lane_times: Vec<(usize, f64)> = lane_forests
-        .iter()
-        .map(|(lanes, forest)| {
-            let t = time(|| {
-                forest.predict_view_into(MatrixView::RowSlices(&batch), &mut scratch);
-                std::hint::black_box(&mut scratch);
-            });
-            (*lanes, t)
-        })
-        .collect();
-    let t_l1 = lane_times[0].1;
-    let (best_lanes, best_t) = lane_times
-        .iter()
-        .copied()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("lane sweep nonempty");
-    eprintln!(
-        "lane sweep (same kernel): {} — best L={} at {:.2}x over the scalar L=1 walk",
-        lane_times
-            .iter()
-            .map(|(l, t)| format!("L{l} {:.1}µs", t * 1e6))
-            .collect::<Vec<_>>()
-            .join(", "),
-        best_lanes,
-        t_l1 / best_t,
-    );
 
     group.bench_function(BenchmarkId::new("scoring", "flat"), |b| {
         b.iter(|| flat.predict_view_into(MatrixView::RowSlices(&batch), &mut scratch));

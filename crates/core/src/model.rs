@@ -63,7 +63,7 @@ pub struct NurdPredictor {
     /// Flattened structure-of-arrays copy of the current latency head
     /// (see [`FlatForest`]): *derived* state, rebuilt after every refit
     /// and lazily after a restore — never serialized. `None` until the
-    /// first fit or when [`crate::NurdConfig::flat_scoring`] is off.
+    /// first fit.
     flat: Option<FlatForest>,
     /// Cross-checkpoint state for warm [`RefitPolicy`] variants: the
     /// absorbed finished set, its quantization, and the latency model it
@@ -122,8 +122,7 @@ impl NurdPredictor {
     }
 
     /// Number of running-set batches scored through the flattened
-    /// structure-of-arrays kernel so far ([`crate::NurdConfig::flat_scoring`]);
-    /// stays zero on the pointer-tree path. Diagnostic only — smoke gates
+    /// structure-of-arrays kernel so far. Diagnostic only — smoke gates
     /// use it to assert the hot path is actually exercised.
     #[must_use]
     pub fn flat_batches(&self) -> usize {
@@ -132,10 +131,10 @@ impl NurdPredictor {
 
     /// Number of full lane groups the multi-lane scoring kernels have
     /// processed for this job so far (across every flat rebuild); stays
-    /// zero with `scoring_lanes == 1`, on the pointer-tree path, and for
-    /// batches narrower than the lane width. Diagnostic only — the
-    /// lane-width twin of [`NurdPredictor::flat_batches`], used by smoke
-    /// gates to assert the lane kernels actually ran.
+    /// zero with `scoring_lanes == 1` and for batches narrower than the
+    /// lane width. Diagnostic only — the lane-width twin of
+    /// [`NurdPredictor::flat_batches`], used by smoke gates to assert the
+    /// lane kernels actually ran.
     #[must_use]
     pub fn lane_chunks(&self) -> usize {
         self.lane_chunks + self.flat.as_ref().map_or(0, FlatForest::lane_chunks)
@@ -146,6 +145,15 @@ impl NurdPredictor {
     /// [`NurdPredictor::lane_chunks`] never moves backwards.
     fn harvest_lane_chunks(&mut self) {
         self.lane_chunks += self.flat.as_ref().map_or(0, FlatForest::lane_chunks);
+    }
+
+    /// The current latency head `h_t`: the cold model under
+    /// [`RefitPolicy::AlwaysCold`], the warm state's otherwise.
+    fn latency_head(&self) -> Option<&GradientBoosting<SquaredLoss>> {
+        match self.config.refit_policy {
+            RefitPolicy::AlwaysCold => self.latency_model.as_ref(),
+            _ => self.warm.model(),
+        }
     }
 
     /// Warm/cold refit counters for the current job; all-zero under
@@ -177,14 +185,10 @@ impl NurdPredictor {
 
         // Refit h_t and g_t (line 11). `refit_every` > 1 reuses stale models
         // between refits, an ablation knob beyond the paper.
-        let have_latency_model = match self.config.refit_policy {
-            RefitPolicy::AlwaysCold => self.latency_model.is_some(),
-            _ => self.warm.model().is_some(),
-        };
         let refit = self
             .checkpoints_seen
             .is_multiple_of(self.config.refit_every.max(1))
-            || !have_latency_model;
+            || self.latency_head().is_none();
         self.checkpoints_seen += 1;
         if refit {
             // Invalidated up front so an early return on a failed fit can
@@ -257,61 +261,21 @@ impl NurdPredictor {
         }
         // Keep the flattened inference copy in sync: rebuilt after every
         // refit and lazily after a restore (the flat layout is derived
-        // state, never serialized or snapshotted).
-        if self.config.flat_scoring {
-            if refit || self.flat.is_none() {
-                let model = match self.config.refit_policy {
-                    RefitPolicy::AlwaysCold => self.latency_model.as_ref(),
-                    _ => self.warm.model(),
-                };
-                let lanes = self.config.scoring_lanes;
-                self.flat = model.map(|m| m.flatten().with_lanes(lanes));
-            }
-        } else {
-            self.harvest_lane_chunks();
-            self.flat = None;
+        // state, never serialized or snapshotted). It exists exactly when
+        // a latency model does.
+        if refit || self.flat.is_none() {
+            let lanes = self.config.scoring_lanes;
+            self.flat = self.latency_head().map(|m| m.flatten().with_lanes(lanes));
         }
-        let h = match self.config.refit_policy {
-            RefitPolicy::AlwaysCold => self.latency_model.as_ref(),
-            _ => self.warm.model(),
-        };
-        let (Some(h), Some(g)) = (h, &self.propensity_model) else {
+        let (Some(flat), Some(g)) = (&self.flat, &self.propensity_model) else {
             return Vec::new();
         };
 
         // Batch scoring over the zero-copy running-task view: one
         // structure-of-arrays pass per model into reused scratch, so the
-        // steady state allocates nothing here. The pointer-tree path stays
-        // selectable (`flat_scoring = false`) and is bit-identical.
-        //
-        // When the engine has granted this job within-job parallelism
-        // (`set_parallelism` → `gbt.tree.n_threads`, the same plumbing
-        // that accelerates refits) and the barrier's running set is big
-        // enough to amortize the fan-out, the batch splits into
-        // lane-aligned chunks scored concurrently on the shared pool —
-        // still bit-identical (disjoint output slices, per-row
-        // accumulation untouched; see `predict_view_into_pooled`).
-        match &self.flat {
-            Some(flat) => {
-                let threads = self.config.gbt.tree.n_threads;
-                if threads > 1 && x_run.len() >= self.config.parallel_score_min {
-                    flat.predict_view_into_pooled(
-                        MatrixView::RowSlices(&x_run),
-                        nurd_runtime::global(),
-                        threads,
-                        &mut self.scratch_raw,
-                    );
-                } else {
-                    flat.predict_view_into(MatrixView::RowSlices(&x_run), &mut self.scratch_raw);
-                }
-                self.flat_batches += 1;
-            }
-            None => {
-                self.scratch_raw.clear();
-                self.scratch_raw
-                    .extend(h.predict_view(MatrixView::RowSlices(&x_run)));
-            }
-        }
+        // steady state allocates nothing here.
+        flat.predict_view_into(MatrixView::RowSlices(&x_run), &mut self.scratch_raw);
+        self.flat_batches += 1;
         g.predict_proba_view_into(MatrixView::RowSlices(&x_run), &mut self.scratch_prop);
         checkpoint
             .running
@@ -355,11 +319,8 @@ impl OnlinePredictor for NurdPredictor {
 
     /// Routes the serving engine's hint to [`nurd_ml::TreeConfig::n_threads`],
     /// which fans the latency head's quantization and histogram fills onto
-    /// the shared pool — and, for barriers whose running set reaches
-    /// [`NurdConfig::parallel_score_min`], splits the flat scoring batch
-    /// into lane-aligned chunks scored on the same pool. Both are
-    /// bit-identical at every thread count, so honoring the hint can
-    /// never change a prediction.
+    /// the shared pool — bit-identical at every thread count, so honoring
+    /// the hint can never change a prediction.
     fn set_parallelism(&mut self, threads: usize) {
         self.config.gbt.tree.n_threads = threads;
     }

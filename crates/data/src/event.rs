@@ -262,10 +262,7 @@ impl nurd_codec::Checkpointable for TaskEvent {
             TaskEvent::Placed { job, nodes } => {
                 enc.put_u8(6);
                 enc.put_u64(*job);
-                enc.put_usize(nodes.len());
-                for &node in nodes {
-                    enc.put_u32(node);
-                }
+                nodes.encode(enc);
             }
         }
     }
@@ -303,15 +300,12 @@ impl nurd_codec::Checkpointable for TaskEvent {
                 ordinal: dec.take_usize()?,
                 time: dec.take_f64()?,
             },
-            6 => {
-                let job = dec.take_u64()?;
-                let len = dec.take_usize()?;
-                let mut nodes = Vec::with_capacity(len);
-                for _ in 0..len {
-                    nodes.push(dec.take_u32()?);
-                }
-                TaskEvent::Placed { job, nodes }
-            }
+            // The vector codec bounds the untrusted length by the bytes
+            // that remain before allocating.
+            6 => TaskEvent::Placed {
+                job: dec.take_u64()?,
+                nodes: nurd_codec::Checkpointable::decode(dec)?,
+            },
             tag => {
                 return Err(nurd_codec::CodecError::InvalidTag {
                     what: "TaskEvent",
@@ -532,6 +526,37 @@ mod tests {
         // A trace without placement emits no Placed event at all.
         let (_, bare) = job_events(&job(), 0.9);
         assert!(bare.iter().all(|e| !matches!(e, TaskEvent::Placed { .. })));
+    }
+
+    #[test]
+    fn placed_decode_rejects_hostile_node_counts() {
+        use nurd_codec::{Checkpointable, Decoder, Encoder};
+        let placed = |count: u64, nodes: &[u32]| {
+            let mut enc = Encoder::new();
+            enc.put_u8(6);
+            enc.put_u64(3);
+            enc.put_u64(count);
+            for &node in nodes {
+                enc.put_u32(node);
+            }
+            enc.into_bytes()
+        };
+        // A count no buffer could hold: an error, not a capacity panic.
+        let huge = placed(u64::MAX, &[]);
+        assert_eq!(huge.len(), 17);
+        assert!(TaskEvent::decode(&mut Decoder::new(&huge)).is_err());
+        // An in-range count that overruns the bytes that follow.
+        let short = placed(3, &[1, 2]);
+        assert!(TaskEvent::decode(&mut Decoder::new(&short)).is_err());
+        // The well-formed frame still decodes.
+        let ok = placed(2, &[1, 2]);
+        assert_eq!(
+            TaskEvent::decode(&mut Decoder::new(&ok)).unwrap(),
+            TaskEvent::Placed {
+                job: 3,
+                nodes: vec![1, 2]
+            }
+        );
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   distinct value gets its own bin and the recorded per-bin min/max
 //!   collapse to that value — so candidate thresholds (midpoints between
 //!   adjacent *present* values) are bit-for-bit the thresholds the exact
-//!   builder proposes, and the two growth modes produce identical trees.
+//!   sort-based builder (a test reference) proposes, and both builders
+//!   produce identical trees.
 //! * Otherwise bins are (approximately) equal-mass quantile buckets of the
 //!   training distribution, the standard accuracy/speed tradeoff.
 

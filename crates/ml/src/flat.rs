@@ -35,11 +35,10 @@
 //! a property pinned by this module's differential proptests and the
 //! workspace-level `hot_path_equivalence` suite.
 
+use std::cell::Cell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use nurd_linalg::MatrixView;
-use nurd_runtime::ThreadPool;
 
 use crate::binned::BinnedMatrix;
 use crate::tree::{Node, RegressionTree};
@@ -59,7 +58,7 @@ pub const SUPPORTED_LANES: [usize; 4] = [1, 2, 4, 8];
 /// [`FlatForest::from_trees`] for raw trees), rebuild it whenever the
 /// source ensemble is refit, and score batches through
 /// [`FlatForest::predict_binned_batch`] / [`FlatForest::predict_view_into`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FlatForest {
     /// Split feature per node (`0` at leaves — never routed on, but kept a
     /// valid index so the fixed-depth walk's loads stay in bounds).
@@ -67,7 +66,7 @@ pub struct FlatForest {
     /// Raw-feature threshold per node (`+∞` at leaves).
     threshold: Vec<f64>,
     /// Bin-code threshold per node (`u8::MAX` at leaves, or everywhere on
-    /// ensembles with exact-grown trees — see [`FlatForest::supports_binned`]).
+    /// ensembles with bin-less trees — see [`FlatForest::supports_binned`]).
     split_bin: Vec<u8>,
     /// Child pairs: `children[2i]` = left, `children[2i+1]` = right;
     /// leaves store their own index twice (the self-loop).
@@ -92,11 +91,8 @@ pub struct FlatForest {
     lanes: u32,
     /// Full lane groups processed by the multi-lane kernels — the
     /// counter CI gates observe to prove the lane path actually ran
-    /// (the lane-width twin of `NurdPredictor::flat_batches`). Atomic so
-    /// pool-parallel scoring can share one forest across threads; the
-    /// value is exact (every group is counted once), only its
-    /// observation point races.
-    lane_chunks: AtomicUsize,
+    /// (the lane-width twin of `NurdPredictor::flat_batches`).
+    lane_chunks: Cell<usize>,
 }
 
 impl Default for FlatForest {
@@ -114,27 +110,7 @@ impl Default for FlatForest {
             binned_capable: false,
             min_width: 0,
             lanes: DEFAULT_LANES as u32,
-            lane_chunks: AtomicUsize::new(0),
-        }
-    }
-}
-
-impl Clone for FlatForest {
-    fn clone(&self) -> Self {
-        FlatForest {
-            feature: self.feature.clone(),
-            threshold: self.threshold.clone(),
-            split_bin: self.split_bin.clone(),
-            children: self.children.clone(),
-            value: self.value.clone(),
-            roots: self.roots.clone(),
-            depths: self.depths.clone(),
-            base_score: self.base_score,
-            learning_rate: self.learning_rate,
-            binned_capable: self.binned_capable,
-            min_width: self.min_width,
-            lanes: self.lanes,
-            lane_chunks: AtomicUsize::new(self.lane_chunks.load(Ordering::Relaxed)),
+            lane_chunks: Cell::new(0),
         }
     }
 }
@@ -288,7 +264,7 @@ impl FlatForest {
     /// ran.
     #[must_use]
     pub fn lane_chunks(&self) -> usize {
-        self.lane_chunks.load(Ordering::Relaxed)
+        self.lane_chunks.get()
     }
 
     /// Ensemble score for a single raw-feature sample — bit-identical to
@@ -322,7 +298,26 @@ impl FlatForest {
     pub fn predict_view_into(&self, xs: MatrixView<'_>, out: &mut Vec<f64>) {
         out.clear();
         out.resize(xs.rows(), 0.0);
-        self.score_chunk(xs, out);
+        // Row-major views get a monomorphized kernel with the row slice
+        // hoisted out of the walk; a (cold-path) column-major view is
+        // copied into rows once and takes the same kernels.
+        match xs {
+            MatrixView::Rows(rows) => self.accumulate_rows(|i| rows[i].as_slice(), out),
+            MatrixView::RowSlices(rows) => self.accumulate_rows(|i| rows[i], out),
+            columns => {
+                let rows: Vec<Vec<f64>> = (0..columns.rows())
+                    .map(|i| {
+                        let mut row = vec![0.0; columns.cols()];
+                        columns.row_into(i, &mut row);
+                        row
+                    })
+                    .collect();
+                self.accumulate_rows(|i| rows[i].as_slice(), out);
+            }
+        }
+        for v in out.iter_mut() {
+            *v = self.base_score + self.learning_rate * *v;
+        }
     }
 
     /// Allocating convenience wrapper over [`FlatForest::predict_view_into`].
@@ -333,74 +328,6 @@ impl FlatForest {
         out
     }
 
-    /// Pool-parallel twin of [`FlatForest::predict_view_into`]: splits
-    /// the batch into at most `max_chunks` contiguous, lane-aligned
-    /// chunks and scores them concurrently on `pool` (the calling thread
-    /// participates).
-    ///
-    /// **Bit-identical at any thread count**: every row's score is a
-    /// function of that row alone (accumulated from 0.0 in ensemble
-    /// order by whichever worker owns its chunk), chunk boundaries
-    /// depend only on `(rows, max_chunks, lane width)` — never on
-    /// scheduling — and each chunk writes its own disjoint output
-    /// slice. Chunk sizes are rounded up to a lane multiple so only the
-    /// final chunk runs remainder rows through the scalar kernel.
-    ///
-    /// Falls back to the sequential path on a single-thread pool, with
-    /// `max_chunks <= 1`, when the batch is smaller than one chunk, or
-    /// for column-major views (no cheap contiguous row sub-slicing; the
-    /// serving hot path is row-major).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view is narrower than a split feature index.
-    pub fn predict_view_into_pooled(
-        &self,
-        xs: MatrixView<'_>,
-        pool: &ThreadPool,
-        max_chunks: usize,
-        out: &mut Vec<f64>,
-    ) {
-        let rows = xs.rows();
-        out.clear();
-        out.resize(rows, 0.0);
-        if rows == 0 {
-            return;
-        }
-        // ceil(rows / chunks), rounded up to a lane multiple.
-        let lanes = (self.lanes as usize).max(1);
-        let per = rows.div_ceil(max_chunks.max(1)).div_ceil(lanes) * lanes;
-        if pool.threads() <= 1 || per >= rows {
-            self.score_chunk(xs, out);
-            return;
-        }
-        match xs {
-            MatrixView::Rows(r) => pool.scope(|s| {
-                for (ci, chunk) in out.chunks_mut(per).enumerate() {
-                    let sub = &r[ci * per..ci * per + chunk.len()];
-                    s.spawn(move || self.score_chunk(MatrixView::Rows(sub), chunk));
-                }
-            }),
-            MatrixView::RowSlices(r) => pool.scope(|s| {
-                for (ci, chunk) in out.chunks_mut(per).enumerate() {
-                    let sub = &r[ci * per..ci * per + chunk.len()];
-                    s.spawn(move || self.score_chunk(MatrixView::RowSlices(sub), chunk));
-                }
-            }),
-            columns => self.score_chunk(columns, out),
-        }
-    }
-
-    /// Scores one contiguous chunk in place: accumulate from zero, then
-    /// apply `base + lr · Σ` — the unit of work `predict_view_into`
-    /// runs once and `predict_view_into_pooled` fans out.
-    fn score_chunk(&self, xs: MatrixView<'_>, out: &mut [f64]) {
-        self.accumulate_view(xs, 1.0, out);
-        for v in out.iter_mut() {
-            *v = self.base_score + self.learning_rate * *v;
-        }
-    }
-
     /// Scores the half-open row range `rows` of a binned matrix, appending
     /// one score per row to `out` — the warm-start suffix-replay kernel.
     /// Bit-identical to `base + lr · Σ_t tree_t.predict_binned(row)` per
@@ -408,7 +335,7 @@ impl FlatForest {
     ///
     /// # Panics
     ///
-    /// Panics when the forest contains exact-grown trees (no bin-code
+    /// Panics when the forest contains bin-less trees (no bin-code
     /// cache; see [`FlatForest::supports_binned`]) or `rows` exceeds the
     /// matrix.
     pub fn predict_binned_extend(
@@ -452,56 +379,16 @@ impl FlatForest {
         self.accumulate_binned_from(binned, 0, scale, scores);
     }
 
-    /// `scores[i] += scale · leaf_t(row i)` for every tree in ensemble
-    /// order, reading raw features from the view — the exact-growth twin
-    /// of [`FlatForest::accumulate_binned`].
-    pub fn accumulate_view(&self, xs: MatrixView<'_>, scale: f64, scores: &mut [f64]) {
-        // Row-major views get a monomorphized kernel with the row slice
-        // hoisted out of the walk; the (cold-path) column-major view
-        // falls back to per-cell access.
-        match xs {
-            MatrixView::Rows(rows) => self.accumulate_rows(|i| rows[i].as_slice(), scale, scores),
-            MatrixView::RowSlices(rows) => self.accumulate_rows(|i| rows[i], scale, scores),
-            columns => {
-                for (t, &root) in self.roots.iter().enumerate() {
-                    let root = root as usize;
-                    let depth = self.depths[t];
-                    if depth == 0 {
-                        let w = scale * self.value[root];
-                        for s in scores.iter_mut() {
-                            *s += w;
-                        }
-                        continue;
-                    }
-                    for (row, s) in scores.iter_mut().enumerate() {
-                        let mut idx = root;
-                        for _ in 0..depth {
-                            let x = columns.get(row, self.feature[idx] as usize);
-                            let go_left = x <= self.threshold[idx];
-                            idx = self.children[2 * idx + 1 - usize::from(go_left)] as usize;
-                        }
-                        *s += scale * self.value[idx];
-                    }
-                }
-            }
-        }
-    }
-
     /// Raw-feature batch walker: dispatches to the lane kernel compiled
     /// for this forest's lane width (remainder rows and `lanes == 1`
     /// take the scalar kernel). The per-row accumulation order is the
     /// same on every path, so the choice is invisible in the output.
-    fn accumulate_rows<'a>(
-        &self,
-        row: impl Fn(usize) -> &'a [f64],
-        scale: f64,
-        scores: &mut [f64],
-    ) {
+    fn accumulate_rows<'a>(&self, row: impl Fn(usize) -> &'a [f64], scores: &mut [f64]) {
         match self.lanes {
-            8 => self.accumulate_rows_lanes::<8>(&row, scale, scores),
-            4 => self.accumulate_rows_lanes::<4>(&row, scale, scores),
-            2 => self.accumulate_rows_lanes::<2>(&row, scale, scores),
-            _ => self.accumulate_rows_scalar(&row, scale, scores),
+            8 => self.accumulate_rows_lanes::<8>(&row, scores),
+            4 => self.accumulate_rows_lanes::<4>(&row, scores),
+            2 => self.accumulate_rows_lanes::<2>(&row, scores),
+            _ => self.accumulate_rows_scalar(&row, scores),
         }
     }
 
@@ -517,7 +404,6 @@ impl FlatForest {
     fn accumulate_rows_lanes<'a, const L: usize>(
         &self,
         row: &impl Fn(usize) -> &'a [f64],
-        scale: f64,
         scores: &mut [f64],
     ) {
         /// One fixed-depth descent of all `L` lanes, no per-step bounds
@@ -587,17 +473,15 @@ impl FlatForest {
                 // Per lane: one addition per tree, ensemble order — the
                 // identical FP sequence the scalar kernel performs.
                 for l in 0..L {
-                    acc[l] += scale * value[idx[l]];
+                    acc[l] += value[idx[l]];
                 }
             }
             scores[base..base + L].copy_from_slice(&acc);
         }
-        if full > 0 {
-            self.lane_chunks.fetch_add(full, Ordering::Relaxed);
-        }
+        self.lane_chunks.set(self.lane_chunks.get() + full);
         let done = full * L;
         if done < scores.len() {
-            self.accumulate_rows_scalar(&|i| row(done + i), scale, &mut scores[done..]);
+            self.accumulate_rows_scalar(&|i| row(done + i), &mut scores[done..]);
         }
     }
 
@@ -607,12 +491,7 @@ impl FlatForest {
     /// indexed loads plus one branchless select per step. The walk is
     /// dispatched on the tree's depth so the common shallow depths get a
     /// fully unrolled step sequence.
-    fn accumulate_rows_scalar<'a>(
-        &self,
-        row: &impl Fn(usize) -> &'a [f64],
-        scale: f64,
-        scores: &mut [f64],
-    ) {
+    fn accumulate_rows_scalar<'a>(&self, row: &impl Fn(usize) -> &'a [f64], scores: &mut [f64]) {
         /// One fixed-depth descent, no per-step bounds checks.
         ///
         /// # Safety
@@ -669,7 +548,7 @@ impl FlatForest {
                         d => walk(self, features, root, d),
                     }
                 };
-                acc += scale * value[idx];
+                acc += value[idx];
             }
             *s = acc;
         }
@@ -798,9 +677,7 @@ impl FlatForest {
             }
             scores[base..base + L].copy_from_slice(&acc);
         }
-        if full > 0 {
-            self.lane_chunks.fetch_add(full, Ordering::Relaxed);
-        }
+        self.lane_chunks.set(self.lane_chunks.get() + full);
         let done = full * L;
         if done < scores.len() {
             self.accumulate_binned_scalar(cols, first_row + done, scale, &mut scores[done..]);
@@ -885,7 +762,7 @@ impl FlatForest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GbtConfig, GradientBoosting, SquaredLoss, TreeConfig, TreeGrowth};
+    use crate::{GbtConfig, GradientBoosting, SquaredLoss, TreeConfig};
     use proptest::prelude::*;
 
     /// Deterministic pseudo-random rows with mild structure (and exact
@@ -915,14 +792,6 @@ mod tests {
                     .sum()
             })
             .collect()
-    }
-
-    /// A shared pool for the pooled-scoring tests (spawning threads per
-    /// proptest case would dominate the suite's runtime).
-    fn test_pool() -> &'static ThreadPool {
-        use std::sync::OnceLock;
-        static POOL: OnceLock<ThreadPool> = OnceLock::new();
-        POOL.get_or_init(|| ThreadPool::new(3))
     }
 
     #[test]
@@ -989,47 +858,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_scoring_is_bit_identical_at_any_chunking() {
-        let x = rows(101, 3, 31);
-        let y = targets(&x);
-        let cfg = GbtConfig {
-            n_rounds: 15,
-            ..GbtConfig::default()
-        };
-        let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
-        let model = GradientBoosting::fit_binned(&binned, &y, SquaredLoss, &cfg).unwrap();
-        let slices: Vec<&[f64]> = x.iter().map(Vec::as_slice).collect();
-        for lanes in SUPPORTED_LANES {
-            let flat = model.flatten().with_lanes(lanes);
-            let sequential = flat.predict_view(MatrixView::Rows(&x));
-            for pool in [&ThreadPool::new(1), test_pool()] {
-                for max_chunks in [0usize, 1, 2, 5, 64, 1000] {
-                    let mut out = vec![-7.0; 3]; // dirty buffer must be replaced
-                    flat.predict_view_into_pooled(MatrixView::Rows(&x), pool, max_chunks, &mut out);
-                    assert_eq!(
-                        out,
-                        sequential,
-                        "lanes {lanes}, {} threads, {max_chunks} chunks",
-                        pool.threads()
-                    );
-                    flat.predict_view_into_pooled(
-                        MatrixView::RowSlices(&slices),
-                        pool,
-                        max_chunks,
-                        &mut out,
-                    );
-                    assert_eq!(out, sequential, "row-slice view, lanes {lanes}");
-                }
-            }
-        }
-        // Empty batches are fine too.
-        let flat = model.flatten();
-        let mut out = vec![1.0];
-        flat.predict_view_into_pooled(MatrixView::Rows(&x[..0]), test_pool(), 4, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn empty_forest_predicts_base_score() {
         let forest = FlatForest::new(2.5, 0.3);
         assert_eq!(forest.predict(&[1.0, 2.0]), 2.5);
@@ -1057,10 +885,11 @@ mod tests {
             assert_eq!(flat.predict(row), model.predict(row), "raw row {i}");
             assert_eq!(batch[i], model.predict(row), "binned row {i}");
         }
-        assert_eq!(
-            flat.predict_view(MatrixView::Rows(&x)),
-            model.predict_view(MatrixView::Rows(&x))
-        );
+        let pointer = model.predict_view(MatrixView::Rows(&x));
+        assert_eq!(flat.predict_view(MatrixView::Rows(&x)), pointer);
+        // Column-major views take the same kernels via a row copy.
+        let columns = nurd_linalg::FeatureMatrix::from_rows(&x).unwrap();
+        assert_eq!(flat.predict_view(columns.view()), pointer);
     }
 
     #[test]
@@ -1069,13 +898,9 @@ mod tests {
         let y = targets(&x);
         let cfg = GbtConfig {
             n_rounds: 5,
-            tree: TreeConfig {
-                growth: TreeGrowth::Exact,
-                ..TreeConfig::default()
-            },
             ..GbtConfig::default()
         };
-        let model = GradientBoosting::fit(&x, &y, SquaredLoss, &cfg).unwrap();
+        let model = GradientBoosting::fit_exact(&x, &y, SquaredLoss, &cfg).unwrap();
         let flat = model.flatten();
         assert!(!flat.supports_binned());
         for row in &x {
@@ -1090,13 +915,9 @@ mod tests {
         let y = targets(&x);
         let cfg = GbtConfig {
             n_rounds: 3,
-            tree: TreeConfig {
-                growth: TreeGrowth::Exact,
-                ..TreeConfig::default()
-            },
             ..GbtConfig::default()
         };
-        let model = GradientBoosting::fit(&x, &y, SquaredLoss, &cfg).unwrap();
+        let model = GradientBoosting::fit_exact(&x, &y, SquaredLoss, &cfg).unwrap();
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
         let _ = model.flatten().predict_binned_batch(&binned, 0..x.len());
     }
@@ -1196,7 +1017,7 @@ mod tests {
     proptest! {
         /// Differential property (satellite 1): across random data shapes,
         /// depths, thread hints, and subtraction settings, the flat batch
-        /// kernel, the per-tree binned walk, and the exact-mode raw walk
+        /// kernel, the per-tree binned walk, and the raw-feature walk
         /// agree bit-for-bit on the training matrix.
         #[test]
         fn prop_flat_equals_pointer_paths(
@@ -1232,8 +1053,8 @@ mod tests {
                 prop_assert_eq!(flat.predict(row), model.predict(row), "raw row {}", i);
             }
             // Every lane width (n is arbitrary, so remainder rows are
-            // covered) and the pooled path agree bit-for-bit with the
-            // pointer-equal batch above.
+            // covered) agrees bit-for-bit with the pointer-equal batch
+            // above.
             let pointer_view = model.predict_view(MatrixView::Rows(&x));
             for lanes in SUPPORTED_LANES {
                 let lf = flat.clone().with_lanes(lanes);
@@ -1249,14 +1070,6 @@ mod tests {
                     "binned kernel, {} lanes",
                     lanes
                 );
-                let mut pooled = Vec::new();
-                lf.predict_view_into_pooled(
-                    MatrixView::Rows(&x),
-                    test_pool(),
-                    3,
-                    &mut pooled,
-                );
-                prop_assert_eq!(pooled, pointer_view.clone(), "pooled, {} lanes", lanes);
             }
         }
 

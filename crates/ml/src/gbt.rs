@@ -9,13 +9,11 @@
 //! * the training matrix is accepted as a zero-copy [`MatrixView`]
 //!   (row-major slices or a column-major
 //!   [`nurd_linalg::FeatureMatrix`]) — rows are never cloned;
-//! * under the default [`TreeGrowth::Histogram`](crate::TreeGrowth)
-//!   growth, features are quantized into a [`BinnedMatrix`] **once per
-//!   fit** and every round trains on it via
-//!   [`RegressionTree::fit_binned`];
+//! * features are quantized into a [`BinnedMatrix`] **once per fit** and
+//!   every round trains on it via [`RegressionTree::fit_binned`];
 //! * per-round score updates replay the freshly fit tree over `u8` bin
 //!   codes ([`RegressionTree::predict_binned`]) — raw `f64` features are
-//!   never touched inside a histogram-mode fit;
+//!   never touched inside a fit;
 //! * row subsampling selects *indices* into the shared binned matrix; the
 //!   `subsample == 1.0` case short-circuits to a precomputed identity
 //!   index list;
@@ -32,7 +30,7 @@ use rand::SeedableRng;
 use nurd_linalg::MatrixView;
 
 use crate::binned::BinnedMatrix;
-use crate::tree::{RegressionTree, TreeConfig, TreeGrowth};
+use crate::tree::{RegressionTree, TreeConfig};
 use crate::MlError;
 
 /// A twice-differentiable training loss for [`GradientBoosting`].
@@ -167,39 +165,11 @@ impl<L: Loss> GradientBoosting<L> {
 
         // Quantize once; every boosting round (and every node of every
         // tree) trains against this shared binned matrix.
-        let binned = match config.tree.growth {
-            TreeGrowth::Histogram if config.n_rounds > 0 => {
-                Some(BinnedMatrix::build_for(x, &config.tree))
-            }
-            _ => None,
-        };
-
-        let base_score = loss.base_score(y);
-        let mut scores = vec![base_score; x.rows()];
-        let mut trees = Vec::with_capacity(config.n_rounds);
-        boost_rounds(
-            binned.as_ref(),
-            Some(x),
-            y,
-            &loss,
-            config,
-            config.n_rounds,
-            config.learning_rate,
-            config.seed,
-            &mut scores,
-            &mut trees,
-        )?;
-
-        Ok(GradientBoosting {
-            loss,
-            base_score,
-            learning_rate: config.learning_rate,
-            trees,
-        })
+        let binned = BinnedMatrix::build_for(x, &config.tree);
+        Self::fit_binned(&binned, y, loss, config)
     }
 
-    /// Fits the ensemble over a pre-quantized [`BinnedMatrix`] (histogram
-    /// growth implied; `config.tree.growth` is ignored). This is the
+    /// Fits the ensemble over a pre-quantized [`BinnedMatrix`]. This is the
     /// warm-refit hot path: across consecutive checkpoints the caller
     /// keeps one binned matrix alive, grows it in place with
     /// [`BinnedMatrix::append_from`], and skips re-quantization entirely.
@@ -247,8 +217,7 @@ impl<L: Loss> GradientBoosting<L> {
         scores.resize(binned.rows(), base_score);
         let mut trees = Vec::with_capacity(config.n_rounds);
         boost_rounds(
-            Some(binned),
-            None,
+            binned,
             y,
             &loss,
             config,
@@ -286,7 +255,8 @@ impl<L: Loss> GradientBoosting<L> {
     ///
     /// [`MlError::DimensionMismatch`] on a `y`/matrix row mismatch,
     /// [`MlError::InvalidConfig`] on bad hyperparameters or when `prev`
-    /// contains exact-grown trees (no bin-code cache to replay).
+    /// contains trees without a bin-code cache to replay (possible only
+    /// for an ensemble decoded from a snapshot that carried none).
     pub fn warm_start(
         prev: &Self,
         binned: &BinnedMatrix,
@@ -369,8 +339,7 @@ impl<L: Loss> GradientBoosting<L> {
             .seed
             .wrapping_add((trees.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         boost_rounds(
-            Some(binned),
-            None,
+            binned,
             y,
             &prev.loss,
             config,
@@ -460,6 +429,50 @@ impl<L: Loss> GradientBoosting<L> {
     }
 }
 
+#[cfg(test)]
+impl<L: Loss> GradientBoosting<L> {
+    /// Test reference: the boosting loop over exact-grown trees
+    /// ([`RegressionTree::fit_exact`]) on every row — the ensemble the
+    /// histogram accuracy guard and the bin-less-tree rejection tests
+    /// compare against.
+    pub(crate) fn fit_exact(
+        x: &[Vec<f64>],
+        y: &[f64],
+        loss: L,
+        config: &GbtConfig,
+    ) -> Result<Self, MlError> {
+        crate::error::check_view(MatrixView::Rows(x), y)?;
+        check_gbt_config(config)?;
+        assert!(
+            config.subsample == 1.0,
+            "the exact reference never subsamples"
+        );
+        let base_score = loss.base_score(y);
+        let mut scores = vec![base_score; x.len()];
+        let mut grads = vec![0.0; x.len()];
+        let mut hess = vec![0.0; x.len()];
+        let mut trees = Vec::with_capacity(config.n_rounds);
+        for _round in 0..config.n_rounds {
+            for (i, &target) in y.iter().enumerate() {
+                let (g, h) = loss.gradient_hessian(target, scores[i]);
+                grads[i] = g;
+                hess[i] = h.max(1e-12);
+            }
+            let tree = RegressionTree::fit_exact(x, &grads, &hess, &config.tree)?;
+            for (score, row) in scores.iter_mut().zip(x) {
+                *score += config.learning_rate * tree.predict(row);
+            }
+            trees.push(tree);
+        }
+        Ok(GradientBoosting {
+            loss,
+            base_score,
+            learning_rate: config.learning_rate,
+            trees,
+        })
+    }
+}
+
 fn check_gbt_config(config: &GbtConfig) -> Result<(), MlError> {
     if !(config.subsample > 0.0 && config.subsample <= 1.0) {
         return Err(MlError::InvalidConfig(format!(
@@ -481,13 +494,11 @@ fn check_gbt_config(config: &GbtConfig) -> Result<(), MlError> {
 
 /// The boosting round loop shared by cold fits and warm starts: appends
 /// `rounds` trees to `trees`, keeping `scores` (raw per-row ensemble
-/// scores) in sync. Histogram mode (`binned` present) never touches raw
-/// features — per-round score updates traverse trees over `u8` bin codes
-/// via [`RegressionTree::predict_binned`]; exact mode reads `x`.
+/// scores) in sync. Raw features are never touched — per-round score
+/// updates traverse trees over `u8` bin codes.
 #[allow(clippy::too_many_arguments)]
 fn boost_rounds<L: Loss>(
-    binned: Option<&BinnedMatrix>,
-    x: Option<MatrixView<'_>>,
+    binned: &BinnedMatrix,
     y: &[f64],
     loss: &L,
     config: &GbtConfig,
@@ -524,22 +535,10 @@ fn boost_rounds<L: Loss>(
             grads[i] = g;
             hess[i] = h.max(1e-12);
         }
-        let tree = match binned {
-            Some(binned) => RegressionTree::fit_binned(binned, &grads, &hess, rows, &config.tree)?,
-            None => {
-                let x = x.expect("exact growth requires a raw matrix view");
-                RegressionTree::fit_exact_rows(x, &grads, &hess, rows.to_vec(), &config.tree)
-            }
-        };
+        let tree = RegressionTree::fit_binned(binned, &grads, &hess, rows, &config.tree)?;
         flat.clear();
         flat.push_tree(&tree);
-        match binned {
-            Some(binned) => flat.accumulate_binned(binned, learning_rate, scores),
-            None => {
-                let x = x.expect("exact growth requires a raw matrix view");
-                flat.accumulate_view(x, learning_rate, scores);
-            }
-        }
+        flat.accumulate_binned(binned, learning_rate, scores);
         trees.push(tree);
     }
     Ok(())
@@ -618,19 +617,16 @@ mod tests {
                 y.push((i * j) as f64);
             }
         }
-        let cfg_for = |growth| GbtConfig {
+        let cfg = GbtConfig {
             n_rounds: 150,
             tree: TreeConfig {
                 max_depth: 4,
-                growth,
                 ..TreeConfig::default()
             },
             ..GbtConfig::default()
         };
-        let exact =
-            GradientBoosting::fit(&x, &y, SquaredLoss, &cfg_for(TreeGrowth::Exact)).unwrap();
-        let hist =
-            GradientBoosting::fit(&x, &y, SquaredLoss, &cfg_for(TreeGrowth::Histogram)).unwrap();
+        let exact = GradientBoosting::fit_exact(&x, &y, SquaredLoss, &cfg).unwrap();
+        let hist = GradientBoosting::fit(&x, &y, SquaredLoss, &cfg).unwrap();
         let mse_exact = crate::mean_squared_error(&y, &exact.predict_batch(&x));
         let mse_hist = crate::mean_squared_error(&y, &hist.predict_batch(&x));
         assert!(
@@ -809,14 +805,7 @@ mod tests {
     #[test]
     fn warm_start_rejects_exact_grown_ensemble() {
         let (x, y) = growing_set(40);
-        let exact_cfg = GbtConfig {
-            tree: TreeConfig {
-                growth: TreeGrowth::Exact,
-                ..TreeConfig::default()
-            },
-            ..GbtConfig::default()
-        };
-        let prev = GradientBoosting::fit(&x, &y, SquaredLoss, &exact_cfg).unwrap();
+        let prev = GradientBoosting::fit_exact(&x, &y, SquaredLoss, &GbtConfig::default()).unwrap();
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
         assert!(matches!(
             GradientBoosting::warm_start(&prev, &binned, &y, 4, &GbtConfig::default()),

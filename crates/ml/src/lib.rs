@@ -11,29 +11,18 @@
 //! * [`LinearSvm`] — Pegasos-trained linear SVM; Wrangler and PU-BG.
 //! * [`KMeans`], [`NearestNeighbors`] — substrates for the outlier detectors.
 //!
-//! # Exact vs. histogram tree growth
+//! # Histogram tree growth
 //!
 //! Because NURD refits the booster at *every checkpoint of every job*,
-//! tree construction dominates end-to-end replay cost. The tree builder
-//! therefore ships two growth strategies behind one API
-//! ([`TreeConfig::growth`]):
-//!
-//! * **Histogram** (default): each feature is quantized into at most
-//!   [`TreeConfig::max_bins`] ≤ 256 bins once per fit ([`BinnedMatrix`]);
-//!   nodes accumulate per-bin gradient/hessian statistics in one linear
-//!   pass over contiguous `u8` codes and scan bin boundaries for the
-//!   split. `O(n·d)` split finding per level; measured ~4× faster
-//!   GBT fits at n = 300 and growing with n. When every feature has at
-//!   most `max_bins` distinct values the trees are *identical* to exact
-//!   growth (property-tested); beyond that, thresholds are restricted to
-//!   quantile bin boundaries — for a single shallow tree on small data
-//!   the one-off quantization cost can outweigh the per-node savings, but
-//!   boosting amortizes it across all rounds.
-//! * **Exact**: the classic per-node, per-feature re-sort enumerating
-//!   every midpoint between adjacent distinct values
-//!   (`O(d · n log n)` per node). Pin `TreeGrowth::Exact` in
-//!   accuracy-sensitive comparisons or to reproduce pre-histogram
-//!   behaviour bit-for-bit.
+//! tree construction dominates end-to-end replay cost. Each feature is
+//! quantized into at most [`TreeConfig::max_bins`] ≤ 256 bins once per
+//! fit ([`BinnedMatrix`]); nodes accumulate per-bin gradient/hessian
+//! statistics in one linear pass over contiguous `u8` codes and scan bin
+//! boundaries for the split — `O(n·d)` split finding per level. When
+//! every feature has at most `max_bins` distinct values the trees are
+//! *identical* to classic exact sort-based growth (property-tested against
+//! an exact builder compiled for tests only); beyond that, thresholds are
+//! restricted to quantile bin boundaries.
 //!
 //! Training data flows in through `nurd_linalg::MatrixView`, so checkpoint
 //! row slices train zero-copy; see `GradientBoosting::fit_view` and
@@ -103,4 +92,4 @@ pub use metrics::{accuracy, f1_score, mean_absolute_error, mean_squared_error, s
 pub use neighbors::NearestNeighbors;
 pub use scaler::StandardScaler;
 pub use svm::{LinearSvm, SvmConfig};
-pub use tree::{RegressionTree, TreeConfig, TreeGrowth};
+pub use tree::{RegressionTree, TreeConfig};

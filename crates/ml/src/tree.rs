@@ -6,46 +6,31 @@
 //! `g_i = f_i - y_i` and unit hessians this reduces to ordinary
 //! variance-reduction CART, so the same tree serves plain regression too.
 //!
-//! # Growth strategies
+//! # Histogram growth
 //!
-//! Two interchangeable split finders sit behind [`RegressionTree::fit`],
-//! selected by [`TreeConfig::growth`]:
-//!
-//! * [`TreeGrowth::Histogram`] (the default) — quantizes each feature into
-//!   at most [`TreeConfig::max_bins`] bins once per fit (see
-//!   [`BinnedMatrix`]), then finds splits by accumulating per-bin
-//!   gradient/hessian sums in one linear pass per node and scanning bin
-//!   boundaries. Split finding costs `O(n·d)` per level with sequential
-//!   access over contiguous `u8` codes — and, with
-//!   [`TreeConfig::hist_subtraction`] (the default), only the smaller
-//!   child of each split is accumulated while the sibling's histogram is
-//!   derived as `parent − child`, LightGBM-style, cutting per-level
-//!   accumulation to `O(min(n_l, n_r) · d)`. When every feature has at
-//!   most `max_bins` distinct values the result is **identical** to exact
-//!   growth (same thresholds, bit for bit, with subtraction disabled; up
-//!   to equal-gain tie-breaks with it); otherwise thresholds are
-//!   restricted to quantile bin boundaries — the standard histogram
-//!   tradeoff.
-//! * [`TreeGrowth::Exact`] — the classic sort-based CART enumeration:
-//!   every node re-sorts its samples per feature (`O(d · n log n)` per
-//!   node) and considers every midpoint between adjacent distinct values.
-//!   Kept for accuracy-sensitive comparisons and as the reference
-//!   implementation the histogram path is property-tested against.
+//! Each feature is quantized into at most [`TreeConfig::max_bins`] bins
+//! once per fit (see [`BinnedMatrix`]); splits are found by accumulating
+//! per-bin gradient/hessian sums in one linear pass per node and scanning
+//! bin boundaries. Split finding costs `O(n·d)` per level with sequential
+//! access over contiguous `u8` codes — and, with
+//! [`TreeConfig::hist_subtraction`] (the default), only the smaller child
+//! of each split is accumulated while the sibling's histogram is derived
+//! as `parent − child`, LightGBM-style, cutting per-level accumulation to
+//! `O(min(n_l, n_r) · d)`. When every feature has at most `max_bins`
+//! distinct values the result is **identical** to the classic sort-based
+//! exact enumeration (same thresholds, bit for bit, with subtraction
+//! disabled; up to equal-gain tie-breaks with it); otherwise thresholds
+//! are restricted to quantile bin boundaries — the standard histogram
+//! tradeoff. The exact builder is compiled for this crate's tests only,
+//! as the reference that equivalence is property-tested against.
 
 use nurd_linalg::MatrixView;
 
 use crate::binned::BinnedMatrix;
 use crate::MlError;
 
-/// Split-finding strategy for tree construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TreeGrowth {
-    /// Per-node sort-based exact enumeration (reference path).
-    Exact,
-    /// Binned histogram split finding (fast path, default).
-    #[default]
-    Histogram,
-}
+#[cfg(test)]
+mod exact;
 
 /// Hyperparameters for a single regression tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,12 +43,9 @@ pub struct TreeConfig {
     pub lambda: f64,
     /// Minimum gain required to keep a split (γ).
     pub min_split_gain: f64,
-    /// Split-finding strategy.
-    pub growth: TreeGrowth,
-    /// Maximum bins per feature for histogram growth (clamped to
-    /// `[2, 256]`; ignored by exact growth).
+    /// Maximum bins per feature (clamped to `[2, 256]`).
     pub max_bins: usize,
-    /// LightGBM-style histogram subtraction (histogram growth only): at
+    /// LightGBM-style histogram subtraction: at
     /// every split, accumulate only the **smaller** child's histograms and
     /// derive the sibling's as `parent − child`, halving (or better) the
     /// per-level accumulation work. Gradient/hessian cells of the derived
@@ -79,7 +61,7 @@ pub struct TreeConfig {
     /// `n` threads of the shared [`nurd_runtime::global`] pool. Features
     /// are processed independently into disjoint outputs, so the fitted
     /// model is **bit-for-bit identical** at every setting — this knob
-    /// trades nothing but wall-clock time. Exact growth ignores it.
+    /// trades nothing but wall-clock time.
     pub n_threads: usize,
 }
 
@@ -90,7 +72,6 @@ impl Default for TreeConfig {
             min_child_weight: 1.0,
             lambda: 1.0,
             min_split_gain: 1e-9,
-            growth: TreeGrowth::Histogram,
             max_bins: BinnedMatrix::MAX_BINS,
             hist_subtraction: true,
             n_threads: 1,
@@ -154,7 +135,8 @@ pub struct RegressionTree {
     /// Histogram-growth acceleration cache, parallel to `nodes`: for a
     /// split node, the highest bin code routed left in the
     /// [`BinnedMatrix`] the tree was trained against (`u8::MAX` at
-    /// leaves). Empty for exact-grown trees. Lets
+    /// leaves). Empty on a tree decoded from a snapshot that carried no
+    /// cache, and on the exact test reference. Lets
     /// [`RegressionTree::predict_binned`] route training-matrix rows by
     /// comparing `u8` codes instead of dereferencing raw `f64` features.
     split_bins: Vec<u8>,
@@ -201,17 +183,10 @@ impl RegressionTree {
     ) -> Result<Self, MlError> {
         check_tree_inputs(x, gradients, hessians, config)?;
         let indices: Vec<usize> = (0..x.rows()).collect();
-        match config.growth {
-            TreeGrowth::Exact => Ok(Self::fit_exact_rows(
-                x, gradients, hessians, indices, config,
-            )),
-            TreeGrowth::Histogram => {
-                let binned = BinnedMatrix::build_for(x, config);
-                Ok(Self::grow_binned(
-                    &binned, gradients, hessians, indices, config,
-                ))
-            }
-        }
+        let binned = BinnedMatrix::build_for(x, config);
+        Ok(Self::grow_binned(
+            &binned, gradients, hessians, indices, config,
+        ))
     }
 
     /// Fits a tree over a subset (`rows`) of a pre-quantized matrix.
@@ -253,28 +228,6 @@ impl RegressionTree {
             rows.to_vec(),
             config,
         ))
-    }
-
-    /// Exact growth over an index subset; inputs already validated.
-    pub(crate) fn fit_exact_rows(
-        x: MatrixView<'_>,
-        gradients: &[f64],
-        hessians: &[f64],
-        rows: Vec<usize>,
-        config: &TreeConfig,
-    ) -> Self {
-        let mut builder = ExactBuilder {
-            x,
-            gradients,
-            hessians,
-            config,
-            nodes: Vec::new(),
-        };
-        builder.build(rows, 0);
-        RegressionTree {
-            nodes: builder.nodes,
-            split_bins: Vec::new(),
-        }
     }
 
     fn grow_binned(
@@ -428,8 +381,8 @@ impl RegressionTree {
         &self.nodes
     }
 
-    /// The bin-code cache parallel to [`RegressionTree::nodes`] (empty for
-    /// exact-grown trees).
+    /// The bin-code cache parallel to [`RegressionTree::nodes`] (empty
+    /// when the tree carries none).
     pub(crate) fn split_bins(&self) -> &[u8] {
         &self.split_bins
     }
@@ -541,131 +494,9 @@ struct BestSplit {
     feature: usize,
     threshold: f64,
     gain: f64,
-    /// Highest bin code routed left (histogram growth only; `u8::MAX` for
-    /// exact growth, where partitioning uses the threshold directly).
+    /// Highest bin code routed left (`u8::MAX` from the exact test
+    /// builder, which partitions on the threshold directly).
     left_bin: u8,
-}
-
-/// Shared leaf/recursion skeleton: both builders differ only in how they
-/// find the best split and partition the node.
-macro_rules! impl_build {
-    ($builder:ident) => {
-        impl $builder<'_> {
-            /// Builds the subtree over `indices`; returns the node index.
-            fn build(&mut self, indices: Vec<usize>, depth: usize) -> usize {
-                let (g_sum, h_sum) = self.sums(&indices);
-                let leaf_weight = -g_sum / (h_sum + self.config.lambda);
-
-                if depth >= self.config.max_depth || indices.len() < 2 {
-                    return self.push_leaf(leaf_weight);
-                }
-                let Some(split) = self.best_split(&indices, g_sum, h_sum) else {
-                    return self.push_leaf(leaf_weight);
-                };
-                if split.gain <= self.config.min_split_gain {
-                    return self.push_leaf(leaf_weight);
-                }
-
-                let (left_idx, right_idx) = self.partition(indices, &split);
-                // Degenerate partitions cannot happen: thresholds are
-                // midpoints of strictly distinct consecutive values.
-                let placeholder = self.push_leaf(0.0);
-                let left = self.build(left_idx, depth + 1);
-                let right = self.build(right_idx, depth + 1);
-                self.nodes[placeholder] = Node::Split {
-                    feature: split.feature,
-                    threshold: split.threshold,
-                    left,
-                    right,
-                };
-                placeholder
-            }
-
-            fn push_leaf(&mut self, weight: f64) -> usize {
-                self.nodes.push(Node::Leaf { weight });
-                self.nodes.len() - 1
-            }
-
-            fn sums(&self, indices: &[usize]) -> (f64, f64) {
-                indices.iter().fold((0.0, 0.0), |(g, h), &i| {
-                    (g + self.gradients[i], h + self.hessians[i])
-                })
-            }
-        }
-    };
-}
-
-/// The reference sort-based builder (`TreeGrowth::Exact`).
-struct ExactBuilder<'a> {
-    x: MatrixView<'a>,
-    gradients: &'a [f64],
-    hessians: &'a [f64],
-    config: &'a TreeConfig,
-    nodes: Vec<Node>,
-}
-
-impl_build!(ExactBuilder);
-
-impl ExactBuilder<'_> {
-    fn partition(&self, indices: Vec<usize>, split: &BestSplit) -> (Vec<usize>, Vec<usize>) {
-        indices
-            .into_iter()
-            .partition(|&i| self.x.get(i, split.feature) <= split.threshold)
-    }
-
-    fn best_split(&self, indices: &[usize], g_sum: f64, h_sum: f64) -> Option<BestSplit> {
-        let d = self.x.cols();
-        let lambda = self.config.lambda;
-        let parent_score = g_sum * g_sum / (h_sum + lambda);
-        let mut best: Option<BestSplit> = None;
-
-        let mut order: Vec<usize> = indices.to_vec();
-        for feature in 0..d {
-            // NaN input must not panic the sort (a partial_cmp fallback
-            // violates strict total order, which the stdlib sort detects
-            // and aborts on). nan_last_cmp orders every NaN — positive or
-            // negative — last, so NaNs are never split boundaries and
-            // simply ride along in the right child.
-            order.sort_by(|&a, &b| {
-                crate::binned::nan_last_cmp(self.x.get(a, feature), self.x.get(b, feature))
-            });
-            let mut g_left = 0.0;
-            let mut h_left = 0.0;
-            for w in 0..order.len() - 1 {
-                let i = order[w];
-                g_left += self.gradients[i];
-                h_left += self.hessians[i];
-                let v = self.x.get(i, feature);
-                let v_next = self.x.get(order[w + 1], feature);
-                if v_next.is_nan() {
-                    // NaNs sort last: no further finite boundaries exist
-                    // for this feature.
-                    break;
-                }
-                if v == v_next {
-                    continue;
-                }
-                let h_right = h_sum - h_left;
-                if h_left < self.config.min_child_weight || h_right < self.config.min_child_weight {
-                    continue;
-                }
-                let g_right = g_sum - g_left;
-                let gain = 0.5
-                    * (g_left * g_left / (h_left + lambda)
-                        + g_right * g_right / (h_right + lambda)
-                        - parent_score);
-                if best.as_ref().is_none_or(|b| gain > b.gain) {
-                    best = Some(BestSplit {
-                        feature,
-                        threshold: 0.5 * (v + v_next),
-                        gain,
-                        left_bin: u8::MAX,
-                    });
-                }
-            }
-        }
-        best
-    }
 }
 
 /// One histogram cell: gradient sum, hessian sum, sample count. Kept as a
@@ -678,7 +509,7 @@ struct HistBin {
     n: u32,
 }
 
-/// The binned builder (`TreeGrowth::Histogram`).
+/// The binned histogram builder.
 ///
 /// Each node owns one flat histogram covering every feature (laid out at
 /// `offsets[f]`). The root's histogram is accumulated directly; below it,
@@ -1039,33 +870,17 @@ mod tests {
 
     #[test]
     fn both_growth_modes_pass_reference_cases() {
-        // The named tests above run under the default (histogram) growth;
-        // spot-check the exact path stays equivalent on one of them.
+        // The named tests above run under histogram growth; spot-check
+        // the exact reference builder stays equivalent on one of them.
         let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let y: Vec<f64> = (0..20).map(|i| if i < 10 { 0.0 } else { 10.0 }).collect();
         let (g, h) = squared_loss_grads(&y);
-        let exact = RegressionTree::fit(
-            &x,
-            &g,
-            &h,
-            &TreeConfig {
-                growth: TreeGrowth::Exact,
-                lambda: 0.0,
-                ..TreeConfig::default()
-            },
-        )
-        .unwrap();
-        let hist = RegressionTree::fit(
-            &x,
-            &g,
-            &h,
-            &TreeConfig {
-                growth: TreeGrowth::Histogram,
-                lambda: 0.0,
-                ..TreeConfig::default()
-            },
-        )
-        .unwrap();
+        let cfg = TreeConfig {
+            lambda: 0.0,
+            ..TreeConfig::default()
+        };
+        let exact = RegressionTree::fit_exact(&x, &g, &h, &cfg).unwrap();
+        let hist = RegressionTree::fit(&x, &g, &h, &cfg).unwrap();
         assert_eq!(exact, hist);
     }
 
@@ -1108,19 +923,17 @@ mod tests {
         x[19][1] = neg_nan;
         let g: Vec<f64> = (0..30).map(|i| -(i as f64)).collect();
         let h = vec![1.0; 30];
-        for growth in [TreeGrowth::Exact, TreeGrowth::Histogram] {
-            let cfg = TreeConfig {
-                growth,
-                ..TreeConfig::default()
-            };
-            let tree = RegressionTree::fit(&x, &g, &h, &cfg).unwrap();
-            assert!(tree.predict(&[15.0, 0.0]).is_finite(), "{growth:?}");
-            assert!(tree.predict(&x[7]).is_finite(), "{growth:?} on NaN row");
+        let cfg = TreeConfig::default();
+        let exact = RegressionTree::fit_exact(&x, &g, &h, &cfg).unwrap();
+        let hist = RegressionTree::fit(&x, &g, &h, &cfg).unwrap();
+        for (growth, tree) in [("exact", exact), ("histogram", hist)] {
+            assert!(tree.predict(&[15.0, 0.0]).is_finite(), "{growth}");
+            assert!(tree.predict(&x[7]).is_finite(), "{growth} on NaN row");
             // No split may carry a NaN threshold: every training row must
             // route deterministically.
             for node in 0..tree.node_count() {
                 if let Node::Split { threshold, .. } = tree.nodes[node] {
-                    assert!(threshold.is_finite(), "{growth:?} NaN threshold");
+                    assert!(threshold.is_finite(), "{growth} NaN threshold");
                 }
             }
         }
@@ -1155,16 +968,8 @@ mod tests {
     #[test]
     fn exact_trees_do_not_support_binned_predict() {
         let x = vec![vec![0.0], vec![1.0]];
-        let tree = RegressionTree::fit(
-            &x,
-            &[-1.0, 1.0],
-            &[1.0, 1.0],
-            &TreeConfig {
-                growth: TreeGrowth::Exact,
-                ..TreeConfig::default()
-            },
-        )
-        .unwrap();
+        let tree = RegressionTree::fit_exact(&x, &[-1.0, 1.0], &[1.0, 1.0], &TreeConfig::default())
+            .unwrap();
         assert!(!tree.supports_binned_predict());
     }
 
@@ -1296,17 +1101,15 @@ mod tests {
             let n = x.len();
             let (g, h) = squared_loss_grads(&ys[..n]);
             let exact_cfg = TreeConfig {
-                growth: TreeGrowth::Exact,
                 max_depth: depth,
                 ..TreeConfig::default()
             };
             let hist_cfg = TreeConfig {
-                growth: TreeGrowth::Histogram,
                 hist_subtraction: false,
                 max_depth: depth,
                 ..TreeConfig::default()
             };
-            let exact = RegressionTree::fit(&x, &g, &h, &exact_cfg).unwrap();
+            let exact = RegressionTree::fit_exact(&x, &g, &h, &exact_cfg).unwrap();
             let hist = RegressionTree::fit(&x, &g, &h, &hist_cfg).unwrap();
             prop_assert_eq!(&exact, &hist);
         }

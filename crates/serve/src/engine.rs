@@ -49,16 +49,14 @@ pub type MitigatorFactory = Box<dyn Fn(&JobSpec) -> Box<dyn MitigationPolicy + S
 /// [`BalanceConfig::backlog_threshold`], the drain loop grants that
 /// shard's *oversized* jobs (≥ [`BalanceConfig::min_tasks`] tasks)
 /// within-job parallelism via [`OnlinePredictor::set_parallelism`] —
-/// fanning their model refits **and their barrier score batches** (once
-/// the running set reaches the predictor's `parallel_score_min`, split
-/// into lane-aligned chunks) across [`BalanceConfig::threads`] workers
+/// fanning their model refits across [`BalanceConfig::threads`] workers
 /// of the shared [`nurd_runtime::global`] pool. This attacks the skew a
 /// shard count cannot: one giant job pins one shard (a job never spans
 /// shards — that is the determinism argument), so the only lever left is
-/// making *that job's* checkpoint refits and barrier scoring faster.
+/// making *that job's* checkpoint refits faster.
 ///
-/// Safe by construction: the parallel fit and scoring paths are
-/// bit-identical across thread counts (property-tested in `nurd-ml`), so
+/// Safe by construction: the parallel fit is bit-identical across
+/// thread counts (property-tested in `nurd-ml`), so
 /// flipping the grant on or off — at any moment, even mid-job — changes
 /// wall-clock only, never a report. The grant is withdrawn (with
 /// hysteresis, at half the threshold) once the backlog subsides, so a
@@ -1234,24 +1232,6 @@ impl Engine {
         self.core.drain_all(pool);
     }
 
-    /// Deprecated alias of [`Engine::push_sync`].
-    #[deprecated(note = "use push_sync, or EngineService + EngineHandle::push for service mode")]
-    pub fn push(&mut self, event: TaskEvent) {
-        self.push_sync(event);
-    }
-
-    /// Deprecated alias of [`Engine::push_all_sync`].
-    #[deprecated(note = "use push_all_sync, or EngineService + EngineHandle for service mode")]
-    pub fn push_all(&mut self, events: impl IntoIterator<Item = TaskEvent>) {
-        self.push_all_sync(events);
-    }
-
-    /// Deprecated alias of [`Engine::drain_sync`].
-    #[deprecated(note = "use drain_sync, or EngineService's background drain loop")]
-    pub fn drain(&mut self, pool: &ThreadPool) {
-        self.drain_sync(pool);
-    }
-
     /// Takes the reports of jobs finalized since the last take (job-id
     /// order) — the mid-stream observation channel. A report taken here
     /// is *not* repeated by [`Engine::finish`].
@@ -1544,17 +1524,6 @@ mod tests {
         assert!(engine.take_finalized().is_empty(), "take drains");
         // finish() does not repeat a taken report.
         assert!(engine.finish(&pool).jobs.is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_aliases_still_work() {
-        let pool = ThreadPool::new(1);
-        let mut engine = Engine::new(EngineConfig::default(), factory());
-        engine.push(TaskEvent::JobStart { spec: spec(1) });
-        engine.push_all(tiny_events(1));
-        engine.drain(&pool);
-        assert_eq!(engine.job_phase(1), Some(JobPhase::Finalized));
     }
 
     #[test]

@@ -76,7 +76,8 @@ impl nurd_codec::Checkpointable for FinalizeReason {
     }
 }
 
-/// What [`Engine::push`](crate::Engine::push) does when the target
+/// What a push ([`EngineHandle::push`](crate::EngineHandle::push) or
+/// [`Engine::push_sync`](crate::Engine::push_sync)) does when the target
 /// shard's ingress queue is at [`EngineConfig::queue_capacity`](crate::EngineConfig::queue_capacity).
 ///
 /// Only [`OverloadPolicy::Block`] preserves the engine's determinism

@@ -92,6 +92,14 @@ struct TaskState {
     seen: bool,
 }
 
+/// Fewest bytes one [`TaskState`] encodes to in a job snapshot — the
+/// bound that caps the task count a snapshot may declare: an empty
+/// `features` vector (its 8-byte length), the two `Option` tags of
+/// `latency` and `flagged_at` when both are `None` (1 byte each), and the
+/// `seen` flag (1 byte). A task that has not reported progress yet
+/// encodes in exactly this much.
+const MIN_TASK_BYTES: usize = 8 + 1 + 1 + 1;
+
 /// One job's online state inside a shard: the predictor plus exactly the
 /// bookkeeping the replay protocol keeps — flagged tasks leave both the
 /// finished and running views forever (their completions still count for
@@ -631,7 +639,7 @@ impl JobState {
                 if !state.predictor.restore_state(&blob) {
                     return Err(RecoverError::PredictorRestore(job));
                 }
-                let task_count = dec.take_len(16)?;
+                let task_count = dec.take_len(MIN_TASK_BYTES)?;
                 let mut tasks = Vec::with_capacity(task_count);
                 for _ in 0..task_count {
                     tasks.push(TaskState {

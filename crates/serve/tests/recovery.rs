@@ -368,6 +368,71 @@ fn history_mode_predictor_recovers_by_replaying_events() {
     }
 }
 
+/// A job snapshotted before any of its tasks reported progress — every
+/// task still in its smallest encoding (empty features, no latency, no
+/// flag, unseen) — restores from that snapshot without falling back, and
+/// finishes exactly like the never-crashed sequential replay.
+#[test]
+fn snapshot_with_untouched_tasks_recovers_without_fallback() {
+    let cfg = SuiteConfig::new(TraceStyle::Google)
+        .with_jobs(1)
+        .with_task_range(200, 240)
+        .with_checkpoints(8)
+        .with_seed(0x7A5C);
+    let jobs = nurd_trace::generate_suite(&cfg);
+    let replay_cfg = ReplayConfig {
+        quantile: QUANTILE,
+        warmup_fraction: WARMUP,
+    };
+    let mut predictor = NurdPredictor::new(NurdConfig::default());
+    let expected = vec![(
+        jobs[0].job_id(),
+        replay_job(&jobs[0], &mut predictor, &replay_cfg),
+    )];
+    let mut stream = nurd_trace::producer_streams(&jobs, 1, QUANTILE, 7);
+    let events = stream.pop().expect("one producer stream");
+    // JobStart plus every Submitted: the job is admitted, no task has
+    // been described yet.
+    let untouched = events
+        .iter()
+        .take_while(|e| matches!(e, TaskEvent::JobStart { .. } | TaskEvent::Submitted { .. }))
+        .count();
+    assert!(untouched > 200, "the prefix must submit every task");
+
+    let dir = scratch_dir("untouched");
+    let doomed = EngineService::start_persistent(
+        engine_config(2),
+        service_config(),
+        PersistenceConfig::new(&dir),
+        nurd_factory(RefitPolicy::AlwaysCold),
+    )
+    .unwrap();
+    run_producers(
+        &doomed,
+        vec![events[..untouched].to_vec()],
+        &BTreeMap::new(),
+    );
+    doomed.quiesce();
+    doomed.checkpoint().unwrap();
+    drop(doomed);
+
+    let (revived, recover) = EngineService::recover(
+        PersistenceConfig::new(&dir),
+        engine_config(2),
+        service_config(),
+        nurd_factory(RefitPolicy::AlwaysCold),
+    )
+    .unwrap();
+    assert_eq!(recover.recovery_fallbacks, 0, "the snapshot was rejected");
+    assert!(recover.snapshot_generation.is_some(), "no snapshot loaded");
+    assert_eq!(recover.resumed_jobs, 1);
+    run_producers(&revived, vec![events], &recover.events_seen);
+    revived.quiesce();
+    let reports = collect_reports(&revived);
+    assert_outcomes_match(&reports, &expected, "untouched-task snapshot");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Satellite (c): every corrupt-artifact shape is a typed
 /// [`RecoverError`] from the public probe, and a full recovery falls
 /// back past the corrupted newest snapshot to the previous valid one.

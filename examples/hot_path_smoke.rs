@@ -1,25 +1,21 @@
 //! Scoring hot-path smoke test **as an end-to-end gate**: the flattened
-//! structure-of-arrays scoring path (`flat_scoring = true`, the default)
-//! must be *actually exercised* — not silently skipped — and must stay
-//! bit-identical to the pointer-tree reference everywhere it can be
-//! observed:
+//! structure-of-arrays scoring path must be *actually exercised* — not
+//! silently skipped — and must stay bit-identical to its references
+//! everywhere it can be observed:
 //!
 //! 1. **Kernel**: a fitted latency head is flattened and batch-scored;
-//!    the output must equal the pointer walk bit for bit, on both the
-//!    raw-feature and the binned kernels — at every supported lane width,
-//!    with the multi-row lane kernel's chunk counter proving which kernel
-//!    actually ran.
-//! 2. **Predictor**: a default-config [`NurdPredictor`] replays a job and
-//!    the [`NurdPredictor::flat_batches`] counter must show the SoA
-//!    kernel ran at (at least) every scored checkpoint, while a
-//!    `flat_scoring = false` twin shows zero — and both produce the same
-//!    replay outcome. The default lane width's replay must also equal a
-//!    `scoring_lanes = 1` twin's bit for bit, with
-//!    [`NurdPredictor::lane_chunks`] nonzero only for the wide one.
+//!    the output must equal the pointer walk bit for bit at every
+//!    supported lane width, with the multi-row lane kernel's chunk
+//!    counter proving which kernel actually ran.
+//! 2. **Predictor**: a default-lane-width [`NurdPredictor`] replays a job
+//!    and the [`NurdPredictor::flat_batches`] counter must show the SoA
+//!    kernel ran, while its replay equals a `scoring_lanes = 1` twin's
+//!    bit for bit, with [`NurdPredictor::lane_chunks`] nonzero only for
+//!    the wide one.
 //! 3. **Engine**: a staggered multi-job fleet served concurrently at
-//!    shard counts {1, 2, 8} yields one identical report under flat and
-//!    pointer scoring, with a nonzero number of flagged tasks (so the
-//!    equality is not vacuous).
+//!    shard counts {1, 2, 8} yields one identical report whose every job
+//!    equals sequential replay, with a nonzero number of flagged tasks
+//!    (so the equality is not vacuous).
 //!
 //! CI runs this example as the gate on the hot path: it exits nonzero on
 //! any panic or divergence.
@@ -40,10 +36,8 @@ use nurd::trace::{SuiteConfig, TraceStyle};
 const QUANTILE: f64 = 0.9;
 const WARMUP: f64 = 0.04;
 
-fn config(flat: bool) -> NurdConfig {
-    NurdConfig::default()
-        .with_refit_policy(RefitPolicy::Warm(WarmRefitConfig::default()))
-        .with_flat_scoring(flat)
+fn config() -> NurdConfig {
+    NurdConfig::default().with_refit_policy(RefitPolicy::Warm(WarmRefitConfig::default()))
 }
 
 fn run_engine(
@@ -51,10 +45,9 @@ fn run_engine(
     events: Vec<TaskEvent>,
     shards: usize,
     pool: &ThreadPool,
-    flat: bool,
 ) -> EngineReport {
     let factory: PredictorFactory =
-        Box::new(move |_spec: &JobSpec| Box::new(NurdPredictor::new(config(flat))));
+        Box::new(move |_spec: &JobSpec| Box::new(NurdPredictor::new(config())));
     let engine = Engine::new(
         EngineConfig {
             shards,
@@ -109,13 +102,7 @@ fn main() {
     let flat = model.flatten();
     assert!(flat.tree_count() > 0, "flattened ensemble is empty");
     let batch: Vec<&[f64]> = rows[..256].to_vec();
-    let mut scratch = Vec::new();
-    flat.predict_view_into(MatrixView::RowSlices(&batch), &mut scratch);
     let pointer = model.predict_view(MatrixView::RowSlices(&batch));
-    assert_eq!(
-        scratch, pointer,
-        "flat kernel is not bit-identical to the pointer walk"
-    );
     for lanes in nurd::ml::SUPPORTED_LANES {
         let forest = model.flatten().with_lanes(lanes);
         let mut out = Vec::new();
@@ -124,18 +111,13 @@ fn main() {
             out, pointer,
             "lane-{lanes} kernel is not bit-identical to the pointer walk"
         );
-        if lanes > 1 {
-            assert!(
-                forest.lane_chunks() > 0,
-                "lane-{lanes} kernel never took the multi-row path"
-            );
-        } else {
-            assert_eq!(
-                forest.lane_chunks(),
-                0,
-                "scalar kernel incremented the lane counter"
-            );
-        }
+        // Only widths above 1 take (and count) the multi-row path.
+        assert_eq!(
+            forest.lane_chunks() > 0,
+            lanes > 1,
+            "lane-{lanes} kernel's chunk counter reads {}",
+            forest.lane_chunks()
+        );
     }
     println!(
         "kernel: {} trees / {} nodes flattened, {}-row batch bit-identical to pointer walk \
@@ -146,9 +128,9 @@ fn main() {
         nurd::ml::SUPPORTED_LANES,
     );
 
-    // 2. Predictor-level: the flat path must actually run under the
-    //    default configuration (flat_scoring = true), once per scored
-    //    checkpoint, and change nothing observable.
+    // 2. Predictor-level: the flat path must actually run, the lane
+    //    kernel at the default width, and the width must change nothing
+    //    observable.
     let suite = SuiteConfig::new(TraceStyle::Google)
         .with_jobs(3)
         .with_task_range(60, 90)
@@ -159,25 +141,13 @@ fn main() {
         quantile: QUANTILE,
         warmup_fraction: WARMUP,
     };
-    assert!(
-        NurdConfig::default().flat_scoring,
-        "flat scoring must be the default"
-    );
     let mut flat_batches = 0usize;
     let mut lane_chunks = 0usize;
     for job in &jobs {
-        let mut with_flat = NurdPredictor::new(config(true));
-        let mut with_pointer = NurdPredictor::new(config(false));
-        let mut with_scalar_lanes = NurdPredictor::new(config(true).with_scoring_lanes(1));
+        let mut with_flat = NurdPredictor::new(config());
+        let mut with_scalar_lanes = NurdPredictor::new(config().with_scoring_lanes(1));
         let out_flat = replay_job(job, &mut with_flat, &replay_cfg);
-        let out_pointer = replay_job(job, &mut with_pointer, &replay_cfg);
         let out_scalar = replay_job(job, &mut with_scalar_lanes, &replay_cfg);
-        assert_eq!(
-            out_flat,
-            out_pointer,
-            "flat and pointer replay diverged on job {}",
-            job.job_id()
-        );
         assert_eq!(
             out_flat,
             out_scalar,
@@ -199,42 +169,47 @@ fn main() {
             0,
             "scoring_lanes = 1 predictor used the lane kernel"
         );
-        assert_eq!(
-            with_pointer.flat_batches(),
-            0,
-            "pointer-path predictor used the flat kernel"
-        );
         flat_batches += with_flat.flat_batches();
         lane_chunks += with_flat.lane_chunks();
     }
     println!(
         "predictor: {} jobs replayed, {flat_batches} running-set batches through the SoA kernel \
-         ({lane_chunks} lane groups), outcomes bit-identical to the pointer and scalar-lane paths",
+         ({lane_chunks} lane groups), outcomes bit-identical to the scalar-lane path",
         jobs.len(),
     );
 
     // 3. Engine-level: the concurrent barrier path (pooled scratch,
-    //    checkpoint views) over a staggered fleet, flat vs pointer, at
-    //    shard counts {1, 2, 8}.
+    //    checkpoint views) over a staggered fleet at shard counts
+    //    {1, 2, 8}, against sequential replay.
     let pool = ThreadPool::new(2);
-    let events = nurd::trace::staggered_fleet_events(&jobs, 0.9, 300.0, 0x407);
-    let reference = run_engine(&jobs, events.clone(), 1, &pool, false);
+    let events = nurd::trace::staggered_fleet_events(&jobs, QUANTILE, 300.0, 0x407);
+    let reference = run_engine(&jobs, events.clone(), 1, &pool);
     let flagged: usize = reference
         .jobs
         .iter()
         .map(|r| r.outcome.flagged_at.iter().flatten().count())
         .sum();
     assert!(flagged > 0, "no task ever flagged — comparison is vacuous");
-    for shards in [1usize, 2, 8] {
-        let report = run_engine(&jobs, events.clone(), shards, &pool, true);
+    for job in &jobs {
+        let expected = replay_job(job, &mut NurdPredictor::new(config()), &replay_cfg);
+        let got = reference.job(job.job_id()).expect("job reported");
+        assert_eq!(
+            got.outcome,
+            expected,
+            "engine diverged from replay on job {}",
+            job.job_id()
+        );
+    }
+    for shards in [2usize, 8] {
+        let report = run_engine(&jobs, events.clone(), shards, &pool);
         assert_eq!(
             report, reference,
-            "flat engine at {shards} shards diverged from the pointer engine"
+            "engine at {shards} shards diverged from the 1-shard engine"
         );
     }
     println!(
         "engine: {} events served at shards {{1, 2, 8}}, {flagged} tasks flagged, \
-         flat reports identical to pointer",
+         reports identical to each other and to replay",
         events.len(),
     );
     println!("hot-path smoke: OK");
